@@ -74,7 +74,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--executor",
-        choices=("auto", "process", "thread", "serial"),
+        choices=("auto", "process", "serial"),
         default="process",
     )
     args = parser.parse_args(argv)

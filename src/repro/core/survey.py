@@ -82,13 +82,13 @@ class SurveyConfig:
     apply_alias_filter: bool = True
     # Parallel scan execution: number of zmap-style shards each input-set
     # scan is split into, and the executor kind ("auto", "process",
-    # "thread", "serial").  Sharded merges are deterministic, so these
+    # "serial").  Sharded merges are deterministic, so these
     # knobs change wall-clock time only, never results.
     shards: int = 1
     parallel: str = "auto"
-    # Probes per SimulationEngine.probe_batch() call (1 = legacy per-probe
-    # path).  Like the sharding knobs this is a pure throughput dial:
-    # results are bit-identical for any value.
+    # Probes per backend call (the scan loop's chunk size).  Like the
+    # sharding knobs this is a pure throughput dial: results are
+    # bit-identical for any value.
     batch_size: int = 1024
     # Probe backend for every survey scan ("sim" or "wire-sim"; the
     # sharded runner refuses non-deterministic backends).  Another pure

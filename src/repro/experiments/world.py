@@ -119,9 +119,10 @@ def quick_scale(seed: int = 2024) -> ExperimentScale:
             max_route6=50_000,
             max_hitlist=30_000,
             shards=_auto_shards(),
-            # Threads keep the quick scale light-weight (no per-run world
-            # pickling) and safe under pytest workers.
-            parallel="thread",
+            # Serial shards keep the quick scale light-weight (no per-run
+            # world pickling or worker start-up) and safe under pytest
+            # workers.
+            parallel="serial",
         ),
         fig5_targets=8_000,
         fig5_epochs=4,

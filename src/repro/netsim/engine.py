@@ -20,26 +20,24 @@ bucket plus an "on-off" background-load gate (Ravaioli et al. observed
 routers alternating between answering and silence under cross traffic);
 Echo replies are never rate limited, which is exactly the asymmetry SRA
 probing exploits.
+
+All of this is implemented once, in the columnar batch kernel
+:meth:`SimulationEngine.probe_columns`; :meth:`~SimulationEngine.probe`
+and :meth:`~SimulationEngine.probe_batch` are per-probe views onto it.
+The test suite checks the kernel against an executable scalar reference
+model (``tests/spec_forwarding.py``).
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..addr.ipv6 import split_into
-from ..packet.icmpv6 import ICMPv6Type, TimeExceededCode, UnreachableCode
-from ..topology.entities import (
-    AliasRegion,
-    EntryKind,
-    InfraSubnet,
-    LoopRegion,
-    Router,
-    Subnet,
-    World,
-)
+from ..packet.icmpv6 import ICMPv6Type, UnreachableCode
+from ..topology.entities import EntryKind, Router, World
 from ..topology.profiles import SRABehavior
 from .ratelimit import TokenBucket
 from .stochastic import base_hasher, stable_bool, stable_unit
@@ -316,58 +314,13 @@ class SimulationEngine:
         hop_limit: int = 64,
         probe_id: int = 0,
     ) -> ProbeResult:
-        """Send one ICMPv6 Echo Request from the vantage to ``target``."""
-        world = self.world
-        self.stats.probes += 1
-        if stable_bool(
-            world.seed, _PURPOSE_LOSS, world.packet_loss, target, probe_id, self.epoch
-        ):
-            self.stats.lost += 1
-            return ProbeResult(target, time, self.epoch, lost=True)
-
-        origin = world.bgp.origin_of(target)
-        if origin is None:
-            upstream = world.routers[world.vantage.upstream_router_id]
-            reply = self._emit_error(
-                upstream,
-                self._router_error_source(upstream),
-                ICMPv6Type.DESTINATION_UNREACHABLE,
-                UnreachableCode.NO_ROUTE,
-                time,
-            )
-            return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply))
-
-        hops = world.paths.get(origin, ())
-        transit = len(hops)
-        if hop_limit <= transit:
-            if hop_limit < 1:
-                return ProbeResult(target, time, self.epoch)
-            hop = hops[hop_limit - 1]
-            router = world.routers[hop.router_id]
-            reply = self._emit_error(
-                router,
-                hop.interface,
-                ICMPv6Type.TIME_EXCEEDED,
-                TimeExceededCode.HOP_LIMIT_EXCEEDED,
-                time,
-            )
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-
-        remaining = hop_limit - transit
-        match = world.resolution.longest_match(target)
-        if match is None:
-            return self._unassigned_space(target, time, origin, transit)
-
-        entry = match[1]
-        if entry.kind is EntryKind.SUBNET:
-            return self._probe_subnet(target, time, entry.payload, transit)
-        if entry.kind is EntryKind.ALIAS:
-            return self._probe_alias(target, time, entry.payload, transit)
-        if entry.kind is EntryKind.INFRA:
-            return self._probe_infra(target, time, entry.payload, transit)
-        return self._probe_loop(target, time, entry.payload, remaining, transit)
+        """Send one ICMPv6 Echo Request from the vantage to ``target``:
+        a batch of one through :meth:`probe_batch`.  Per-probe callers
+        (traceroute datasets, rate-limit inference, pcap export) share
+        the batched kernel's semantics exactly."""
+        return self.probe_batch(
+            [target], [time], hop_limit=hop_limit, probe_ids=[probe_id]
+        )[0]
 
     def probe_columns(
         self,
@@ -383,8 +336,9 @@ class SimulationEngine:
         This is the scanner's hot path — the single batched kernel behind
         :meth:`probe_batch`.  Instead of one ``ProbeResult``/``Reply``
         allocation per probe it writes parallel ``array`` columns, in
-        three phases that together stay bit-identical to calling
-        :meth:`probe` once per ``(target, time, probe_id)`` in order:
+        three phases that together stay bit-identical to walking the
+        probes one at a time, in order (the scalar reference model in
+        ``tests/spec_forwarding.py``):
 
         A. *Loss draws*, in probe order — pure keyed-hash draws with the
            hasher primed once per batch and copied per probe.
@@ -395,8 +349,8 @@ class SimulationEngine:
            pure, so reordering cannot change results.
         C. *Effects dispatch*, back in probe order — everything stateful
            (token buckets, the background-load gate, stats, telemetry)
-           runs here, in exactly the order the serial path would, because
-           probe times are non-decreasing in probe order.
+           runs here, in exactly the order a probe-by-probe walk would,
+           because probe times are non-decreasing in probe order.
         """
         world = self.world
         seed = world.seed
@@ -600,7 +554,12 @@ class SimulationEngine:
 
             entry_match = entries[i]
             if entry_match is None:
-                # Announced but unassigned space (see _unassigned_space).
+                # Announced but unassigned space.  The error originates at
+                # whatever *internal* router holds the closest covering
+                # route for the destination (deterministic per /56: ISP
+                # internals aggregate hierarchically), so unassigned space
+                # spreads error sources across many router IPs, as
+                # observed.
                 asn = match[1]
                 info = ases_get(asn)
                 if info is not None and info.filters_unroutable:
@@ -611,6 +570,12 @@ class SimulationEngine:
                 if responsible.errors_from_primary and responsible.loopback:
                     source = responsible.loopback
                 else:
+                    # Customer-facing sub-interface of the aggregation
+                    # router: a distinct address per /56 region (point-to-
+                    # point/VLAN links carry addresses from the delegated
+                    # space).  This is why error sources in the /48 and /64
+                    # partition scans are so numerous — and why most of
+                    # them never answer a direct probe.
                     source = ((target >> 72) << 72) | 0xFFFE
                 if error_allowed(responsible, times[i], True):
                     flags[i] = FLAG_REPLY
@@ -638,9 +603,13 @@ class SimulationEngine:
                             subnet.prefix.network,
                         )
                     ):
-                        # Dead (or flaky-off): the last-hop router answers
-                        # Address Unreachable from the subnet-facing
-                        # interface.
+                        # Dead (or flaky-off) subnet: the interface is down
+                        # but the route usually lingers in the IGP, so the
+                        # *last-hop* router answers Address Unreachable
+                        # from the subnet-facing interface — a distinct
+                        # source per dead subnet.  This is what makes the
+                        # error-IP population of the hitlist scan so large
+                        # (Fig. 4).
                         iface = subnet.router_interface
                         plan = (
                             False,
@@ -658,7 +627,11 @@ class SimulationEngine:
                             action = 1
                         else:
                             action = 2
-                            # Source selection per _sra_reply_source.
+                            # The RFC says "its own full source address";
+                            # which interface that is differs between
+                            # implementations (and is what makes AS
+                            # attribution of SRA replies error-prone when
+                            # peering-LAN addresses leak).
                             if (
                                 router.replies_from_peering
                                 and router.peering_lan_address is not None
@@ -705,7 +678,10 @@ class SimulationEngine:
                         code_col[i] = code_addr_unreach
                         rid_col[i] = plan[4]
                     continue
-                if plan[2]:  # aliased: every address echoes back
+                if plan[2]:
+                    # Aliased networks answer on *every* address —
+                    # including the SRA address itself, which is the alias
+                    # filter's tell-tale.
                     echo_replies += 1
                     flags[i] = FLAG_REPLY
                     source_hi[i] = target >> 64
@@ -787,7 +763,11 @@ class SimulationEngine:
                     code_col[i] = code_addr_unreach
                     rid_col[i] = border.router_id
                 continue
-            # Routing-loop region (see _probe_loop).
+            # Routing-loop region: customer<->provider ping-pong until the
+            # hop limit expires.  The Time Exceeded is generated (and, with
+            # buggy firmware, massively replicated) at the misconfigured
+            # customer edge router — the paper observes floods "from the
+            # same router".
             region = entry.payload
             stats.loops_hit += 1
             time = times[i]
@@ -801,6 +781,9 @@ class SimulationEngine:
             source = self._router_error_source(customer)
             amplification = self._loop_amplification(customer, remaining)
             if amplification > 1:
+                # The firmware bug replicates packets in the fast path; the
+                # resulting Time Exceeded flood bypasses the control-plane
+                # rate limiter (this is what makes it dangerous).
                 count = min(amplification, AMPLIFICATION_CAP)
                 stats.error_replies += count
                 stats.amplified_replies += count - 1
@@ -832,12 +815,12 @@ class SimulationEngine:
         hop_limit: int = 64,
         probe_ids: list[int] | None = None,
     ) -> list[ProbeResult]:
-        """Send one Echo Request per target; bit-identical to calling
-        :meth:`probe` once per ``(target, time, probe_id)`` in order.
+        """Send one Echo Request per target; one :class:`ProbeResult` per
+        row, in row order.
 
-        Compatibility adapter over :meth:`probe_columns` — the columnar
-        kernel is the single batched implementation; this reconstructs the
-        per-probe dataclasses from its packed result columns.
+        Adapter over :meth:`probe_columns` — the columnar kernel is the
+        only forwarding implementation; this reconstructs the per-probe
+        dataclasses from its packed result columns.
         """
         cols = self.probe_columns(
             targets, times, hop_limit=hop_limit, probe_ids=probe_ids
@@ -893,189 +876,8 @@ class SimulationEngine:
         return results
 
     # ------------------------------------------------------------------ #
-    # destination behaviours
+    # building blocks
     # ------------------------------------------------------------------ #
-
-    def _probe_subnet(
-        self, target: int, time: float, subnet: Subnet, transit: int
-    ) -> ProbeResult:
-        world = self.world
-        if not self._subnet_alive(subnet):
-            # Dead (or flaky-off) subnet: the interface is down but the
-            # route usually lingers in the IGP, so the *last-hop* router
-            # answers Address Unreachable from the subnet-facing interface
-            # — a distinct source per dead subnet.  This is what makes the
-            # error-IP population of the hitlist scan so large (Fig. 4).
-            router = world.routers[subnet.router_id]
-            reply = self._emit_error(
-                router,
-                subnet.router_interface,
-                ICMPv6Type.DESTINATION_UNREACHABLE,
-                UnreachableCode.ADDRESS_UNREACHABLE,
-                time,
-            )
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-        if subnet.aliased:
-            # Aliased networks answer on *every* address — including the SRA
-            # address itself, which is the alias filter's tell-tale.
-            reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
-            self.stats.echo_replies += 1
-            return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-
-        router = world.routers[subnet.router_id]
-        if target == subnet.sra_address:
-            return self._probe_sra(target, time, subnet, router, transit)
-        if target == subnet.router_interface:
-            reply = self._direct_ping(router, subnet.router_interface)
-            return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
-        if target in subnet.hosts:
-            if stable_bool(
-                world.seed, _PURPOSE_HOST, 0.85, target, self.epoch
-            ):
-                self.stats.echo_replies += 1
-                reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
-                return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        # Unassigned address inside an active subnet.
-        reply = self._emit_error(
-            router,
-            self._router_error_source(router, subnet.router_interface),
-            ICMPv6Type.DESTINATION_UNREACHABLE,
-            UnreachableCode.ADDRESS_UNREACHABLE,
-            time,
-        )
-        return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
-
-    def _probe_sra(
-        self, target: int, time: float, subnet: Subnet, router: Router, transit: int
-    ) -> ProbeResult:
-        behavior = router.vendor.sra_behavior
-        if behavior is SRABehavior.DROP:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        if behavior is SRABehavior.ERROR:
-            reply = self._emit_error(
-                router,
-                self._router_error_source(router, subnet.router_interface),
-                ICMPv6Type.DESTINATION_UNREACHABLE,
-                UnreachableCode.ADDRESS_UNREACHABLE,
-                time,
-            )
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-        source = self._sra_reply_source(router, subnet)
-        self.stats.echo_replies += 1
-        reply = Reply(source, ICMPv6Type.ECHO_REPLY, 0, router_id=router.router_id)
-        return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-
-    def _sra_reply_source(self, router: Router, subnet: Subnet) -> int:
-        """The RFC says "its own full source address" — which interface that
-        is differs between implementations (and is what makes AS attribution
-        of SRA replies error-prone when peering-LAN addresses leak)."""
-        if router.replies_from_peering and router.peering_lan_address is not None:
-            return router.peering_lan_address
-        if router.sra_from_primary:
-            return router.loopback
-        if router.unstable_reply_source and stable_bool(
-            self.world.seed, _PURPOSE_FLIP, 0.5, router.router_id, self.epoch
-        ):
-            return router.loopback
-        return subnet.router_interface
-
-    def _probe_alias(
-        self, target: int, time: float, region: AliasRegion, transit: int
-    ) -> ProbeResult:
-        self.stats.echo_replies += 1
-        reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
-        return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-
-    def _probe_infra(
-        self, target: int, time: float, infra: InfraSubnet, transit: int
-    ) -> ProbeResult:
-        router_id = infra.interfaces.get(target)
-        if router_id is not None:
-            router = self.world.routers[router_id]
-            reply = self._direct_ping(router, target)
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-        border = self._border_router(infra.asn)
-        if border is None:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        reply = self._emit_error(
-            border,
-            self._router_error_source(border),
-            ICMPv6Type.DESTINATION_UNREACHABLE,
-            UnreachableCode.ADDRESS_UNREACHABLE,
-            time,
-        )
-        return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
-
-    def _probe_loop(
-        self,
-        target: int,
-        time: float,
-        region: LoopRegion,
-        remaining: int,
-        transit: int,
-    ) -> ProbeResult:
-        """Customer<->provider ping-pong until the hop limit expires."""
-        world = self.world
-        self.stats.loops_hit += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_loop(region.customer_router_id, time)
-        customer = world.routers[region.customer_router_id]
-        if remaining < 1:
-            return ProbeResult(target, time, self.epoch, looped=True, transit_hops=transit)
-        # The packet ping-pongs customer<->provider; the Time Exceeded is
-        # generated (and, with buggy firmware, massively replicated) at the
-        # misconfigured customer edge router — the paper observes floods
-        # "from the same router".
-        victim = customer
-        source = self._router_error_source(victim)
-        amplification = self._loop_amplification(customer, remaining)
-        if amplification > 1:
-            # The firmware bug replicates packets in the fast path; the
-            # resulting Time Exceeded flood bypasses the control-plane
-            # rate limiter (this is what makes it dangerous).
-            count = min(amplification, AMPLIFICATION_CAP)
-            self.stats.error_replies += count
-            self.stats.amplified_replies += count - 1
-            reply = Reply(
-                source,
-                ICMPv6Type.TIME_EXCEEDED,
-                TimeExceededCode.HOP_LIMIT_EXCEEDED,
-                count=count,
-                router_id=victim.router_id,
-            )
-            return ProbeResult(
-                target,
-                time,
-                self.epoch,
-                replies=(reply,),
-                looped=True,
-                amplification=count,
-                transit_hops=transit,
-            )
-        reply = self._emit_error(
-            victim,
-            source,
-            ICMPv6Type.TIME_EXCEEDED,
-            TimeExceededCode.HOP_LIMIT_EXCEEDED,
-            time,
-        )
-        return ProbeResult(
-            target,
-            time,
-            self.epoch,
-            replies=_as_tuple(reply),
-            looped=True,
-            amplification=1 if reply else 0,
-            transit_hops=transit,
-        )
 
     def _loop_amplification(self, customer: Router, remaining: int) -> int:
         factor = customer.replication_factor
@@ -1089,40 +891,6 @@ class SimulationEngine:
         if amplification >= AMPLIFICATION_CAP:
             return AMPLIFICATION_CAP
         return max(1, round(amplification))
-
-    def _unassigned_space(
-        self, target: int, time: float, asn: int, transit: int
-    ) -> ProbeResult:
-        """Announced but unassigned space.
-
-        The error originates at whatever *internal* router holds the
-        closest covering route for the destination's /48 — deterministic
-        per /48 (ISP internals aggregate hierarchically), so unassigned
-        space spreads error sources across many router IPs, as observed.
-        """
-        info = self.world.ases.get(asn)
-        if info is not None and info.filters_unroutable:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        responsible = self._responsible_router(asn, target)
-        if responsible is None:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        if responsible.errors_from_primary and responsible.loopback:
-            source = responsible.loopback
-        else:
-            # Customer-facing sub-interface of the aggregation router: a
-            # distinct address per /56 region (point-to-point/VLAN links
-            # carry addresses from the delegated space).  This is why
-            # error sources in the /48 and /64 partition scans are so
-            # numerous — and why most of them never answer a direct probe.
-            source = ((target >> 72) << 72) | 0xFFFE
-        reply = self._emit_error(
-            responsible,
-            source,
-            ICMPv6Type.DESTINATION_UNREACHABLE,
-            UnreachableCode.NO_ROUTE,
-            time,
-        )
-        return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
 
     def _responsible_router(self, asn: int, target: int) -> Router | None:
         """The internal router whose aggregate covers the target's /56.
@@ -1144,10 +912,6 @@ class SimulationEngine:
         )
         return self.world.routers[info.router_ids[index]]
 
-    # ------------------------------------------------------------------ #
-    # building blocks
-    # ------------------------------------------------------------------ #
-
     def _border_router(self, asn: int) -> Router | None:
         info = self.world.ases.get(asn)
         if info is None or info.border_router_id is None:
@@ -1165,56 +929,13 @@ class SimulationEngine:
             return router.interface_addresses[0]
         return router.loopback
 
-    def _direct_ping(self, router: Router, interface: int) -> Reply | None:
-        """Behaviour for an Echo Request aimed at a router's own address."""
-        if not router.answers_direct_ping:
-            return None
-        if not stable_bool(
-            self.world.seed, _PURPOSE_DIRECT, 0.96, router.router_id, self.epoch
-        ):
-            return None
-        self.stats.echo_replies += 1
-        return Reply(
-            interface, ICMPv6Type.ECHO_REPLY, 0, router_id=router.router_id
-        )
-
-    def _subnet_alive(self, subnet: Subnet) -> bool:
-        if subnet.death_epoch is not None and self.epoch >= subnet.death_epoch:
-            return False
-        if subnet.flaky:
-            return stable_bool(
-                self.world.seed,
-                _PURPOSE_FLAKY,
-                0.55,
-                subnet.prefix.network,
-                self.epoch,
-            )
-        return True
-
-    def _emit_error(
-        self,
-        router: Router,
-        source: int,
-        icmp_type: ICMPv6Type,
-        code: int,
-        time: float,
-    ) -> Reply | None:
-        """Originate an ICMPv6 error, subject to RFC 4443 rate limiting,
-        the background-load on-off gate, and the router's unreachable-
-        filtering policy ("no ip unreachables")."""
-        if not self._error_reply_allowed(
-            router, time, icmp_type is ICMPv6Type.DESTINATION_UNREACHABLE
-        ):
-            return None
-        return Reply(source, icmp_type, int(code), router_id=router.router_id)
-
     def _error_reply_allowed(
         self, router: Router, time: float, unreachable: bool
     ) -> bool:
-        """The shared error-emission gate behind both probe paths: the
-        unreachable-filtering policy, the rate-limit/background gate, and
-        the stats accounting.  True means the error goes out — the caller
-        then builds the :class:`Reply` or writes the result columns."""
+        """Originate an ICMPv6 error or not: the router's unreachable-
+        filtering policy ("no ip unreachables"), the RFC 4443 rate-limit /
+        background-load gate, and the stats accounting.  True means the
+        error goes out and the kernel writes its result columns."""
         if unreachable and not router.emits_unreachables:
             return False
         if not self._error_allowed(router, time):
@@ -1285,7 +1006,3 @@ class SimulationEngine:
             if telemetry is not None:
                 telemetry.on_suppressed(router.router_id, time)
         return allowed
-
-
-def _as_tuple(reply: Reply | None) -> tuple[Reply, ...]:
-    return () if reply is None else (reply,)

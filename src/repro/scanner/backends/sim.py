@@ -87,13 +87,6 @@ class SimBackend(ProbeBackend):
 
     # ---------------- probing ---------------- #
 
-    def probe(
-        self, target: int, time: float, *, hop_limit: int = 64, probe_id: int = 0
-    ) -> "ProbeResult":
-        return self.engine.probe(
-            target, time, hop_limit=hop_limit, probe_id=probe_id
-        )
-
     def send_batch(
         self,
         targets: Sequence[int],

@@ -9,10 +9,9 @@ output (the round trip proves the codecs; it never changes an outcome),
 which is what lets the raw backend reuse this matching logic with
 confidence.
 
-This used to be an inline ``wire_format`` branch in ``zmapv6.py``; it is
-now a backend like any other, and the branch is gone.  One behavioural
-fix rode along: replies that fail payload extraction/validation were
-silently dropped before — they now count into
+A chunk is encoded whole, reaches the simulator in one ``send_batch``
+call, and is matched back row by row.  Replies that fail payload
+extraction/validation are dropped and counted into
 :attr:`~repro.scanner.backends.base.ProbeBackend.unmatched_replies`, so
 the raw backend (where unmatched traffic is the norm, not a codec bug)
 inherits visible loss accounting.
@@ -20,6 +19,7 @@ inherits visible loss accounting.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from ...packet.icmpv6 import (
@@ -109,40 +109,72 @@ class WireSimBackend(ProbeBackend):
 
     # ---------------- probing ---------------- #
 
-    def probe(
-        self, target: int, time: float, *, hop_limit: int = 64, probe_id: int = 0
-    ) -> "ProbeResult":
-        """Full wire-format round trip: encode the probe, decode it, probe
-        the simulator, synthesise reply bytes, and re-match via the payload."""
+    def send_batch(
+        self,
+        targets: Sequence[int],
+        times: Sequence[float],
+        *,
+        hop_limit: int = 64,
+        probe_ids: Sequence[int] | None = None,
+    ) -> "list[ProbeResult]":
+        """Full wire-format round trip for a chunk: encode every probe and
+        decode it back, probe the simulator once for the whole chunk,
+        then synthesise each reply's bytes and re-match it via the
+        payload, row by row."""
         vantage = self.engine.world.vantage
         assert vantage is not None
-        wire = build_probe_packet(
-            src=vantage.address,
-            target=target,
-            probe_id=probe_id,
-            key=self.key,
-            hop_limit=hop_limit,
-            identifier=probe_id & 0xFFFF,
-            sequence=(probe_id >> 16) & 0xFFFF,
+        if probe_ids is None:
+            probe_ids = [0] * len(targets)
+        wires = []
+        requests = []
+        destinations = []
+        for target, probe_id in zip(targets, probe_ids):
+            wire = build_probe_packet(
+                src=vantage.address,
+                target=target,
+                probe_id=probe_id,
+                key=self.key,
+                hop_limit=hop_limit,
+                identifier=probe_id & 0xFFFF,
+                sequence=(probe_id >> 16) & 0xFFFF,
+            )
+            header = IPv6Header.decode(wire)
+            wires.append(wire)
+            requests.append(
+                ICMPv6Message.decode(
+                    wire[HEADER_LENGTH:], src=header.src, dst=header.dst
+                )
+            )
+            destinations.append(header.dst)
+        outcomes = self.inner.send_batch(
+            destinations, times, hop_limit=hop_limit, probe_ids=probe_ids
         )
-        header = IPv6Header.decode(wire)
-        request = ICMPv6Message.decode(
-            wire[HEADER_LENGTH:], src=header.src, dst=header.dst
-        )
-        outcome = self.inner.probe(
-            header.dst, time, hop_limit=header.hop_limit, probe_id=probe_id
-        )
+        return [
+            self._match(outcome, target, probe_id, wire, request, vantage.address)
+            for outcome, target, probe_id, wire, request in zip(
+                outcomes, targets, probe_ids, wires, requests
+            )
+        ]
+
+    def _match(
+        self,
+        outcome: "ProbeResult",
+        target: int,
+        probe_id: int,
+        wire: bytes,
+        request: ICMPv6Message,
+        vantage: int,
+    ) -> "ProbeResult":
+        """Receive path for one probe's replies: synthesise their bytes,
+        decode them, and keep only those whose payload names this probe."""
         matched = []
         for reply in outcome.replies:
             if reply.icmp_type is ICMPv6Type.ECHO_REPLY:
                 message = echo_reply_for(request)
             else:
                 message = error_message(reply.icmp_type, reply.code, wire)
-            # Receive path: decode bytes, then recover the probed target.
-            raw = message.encode(reply.source, vantage.address)
-            decoded = ICMPv6Message.decode(
-                raw, src=reply.source, dst=vantage.address
-            )
+            raw = message.encode(reply.source, vantage)
+            decoded = ICMPv6Message.decode(raw, src=reply.source, dst=vantage)
             extraction = extract_probe(decoded, self.key)
             if extraction is None:
                 self.unmatched_replies += 1
@@ -154,33 +186,7 @@ class WireSimBackend(ProbeBackend):
             matched.append(reply)
         if len(matched) == len(outcome.replies):
             return outcome
-        from ...netsim.engine import ProbeResult as _ProbeResult
-
-        return _ProbeResult(
-            target=outcome.target,
-            time=outcome.time,
-            epoch=outcome.epoch,
-            replies=tuple(matched),
-            lost=outcome.lost,
-            looped=outcome.looped,
-            amplification=outcome.amplification,
-            transit_hops=outcome.transit_hops,
-        )
-
-    def send_batch(
-        self,
-        targets: Sequence[int],
-        times: Sequence[float],
-        *,
-        hop_limit: int = 64,
-        probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
-        if probe_ids is None:
-            probe_ids = [0] * len(targets)
-        return [
-            self.probe(target, time, hop_limit=hop_limit, probe_id=probe_id)
-            for target, time, probe_id in zip(targets, times, probe_ids)
-        ]
+        return replace(outcome, replies=tuple(matched))
 
 
 register_backend(WireSimBackend.name, WireSimBackend)

@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--parallel",
-        choices=("auto", "process", "thread", "serial"),
+        choices=("auto", "process", "serial"),
         default="auto",
         help="executor for sharded scans",
     )

@@ -3,10 +3,10 @@
 The paper's real campaign splits its 28.2 B-target scan across machines
 using zmap's sharding: shard *i* of *N* visits every *N*-th slot of the
 cyclic-group permutation.  :class:`ShardedScanRunner` reproduces that for
-the simulator and executes the shards concurrently — on a process pool
-for large scans, a thread pool for small ones — while guaranteeing that
-the merged result is **bit-for-bit identical** to a serial run of the
-same seed and epoch.
+the simulator and executes the shards on a process pool (small scans run
+them one after another in-process) while guaranteeing that the merged
+result is **bit-for-bit identical** to a serial run of the same seed and
+epoch.
 
 Why determinism is non-trivial: the simulation engine is almost entirely
 stateless per probe (loss, subnet liveness, reply sources are all stable
@@ -28,13 +28,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -144,7 +138,7 @@ class ShardFailedError(RuntimeError):
         )
 
 # Below this many targets a process pool costs more (world pickling, fork)
-# than the scan itself; fall back to threads.
+# than the scan itself; run the shards serially instead.
 PROCESS_POOL_THRESHOLD = 16_384
 
 
@@ -286,7 +280,7 @@ def merge_shard_outcomes(
     for outcome in ordered:
         # Outcomes that crossed a process boundary carry their records and
         # checks in a shared-memory frame; drain them here, in serial
-        # shard order (no-op for thread/serial shards and for outcomes a
+        # shard order (no-op for serial shards and for outcomes a
         # recovery round already drained).
         drain_outcome(outcome, ring_stats)
     # (time, shard, router_id, record indices at that time) — at most one
@@ -566,10 +560,10 @@ class ShardedScanRunner:
     or executor choice.  ``config.shard``/``config.shards`` are overridden
     per shard; the runner's ``shards`` is authoritative.
 
-    Executors: ``"process"`` (true parallelism; pays world pickling),
-    ``"thread"`` (cheap start-up, good for small scans), ``"serial"``
-    (in-process, for debugging), ``"auto"`` (process above
-    :data:`PROCESS_POOL_THRESHOLD` targets on multi-core hosts, threads
+    Executors: ``"process"`` (true parallelism; pays world bootstrap
+    and pool start-up), ``"serial"`` (in-process, one shard after
+    another), ``"auto"`` (process at or above
+    :data:`PROCESS_POOL_THRESHOLD` targets on multi-core hosts, serial
     otherwise).
 
     Crash tolerance: with a checkpoint path (or ``checkpoint_dir``), a
@@ -599,10 +593,8 @@ class ShardedScanRunner:
         chaos: ChaosEngine | None = None,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
-        if executor not in ("auto", "process", "thread", "serial"):
-            raise ValueError(
-                "executor must be one of auto/process/thread/serial"
-            )
+        if executor not in ("auto", "process", "serial"):
+            raise ValueError("executor must be one of auto/process/serial")
         if max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
         self.world = world
@@ -802,7 +794,27 @@ class ShardedScanRunner:
             return self.executor
         if size >= self.process_threshold and (os.cpu_count() or 1) > 1:
             return "process"
-        return "thread"
+        return "serial"
+
+    def _process_pool(self, target_list: Sequence[int]) -> ProcessPoolExecutor:
+        """A worker pool bootstrapped once per worker with the world and
+        the targets (see :func:`_init_worker`).
+
+        Streams with a picklable recipe ship that recipe instead of their
+        data: each worker rebuilds the stream from the world it already
+        received, keeping the payload O(1) in target count.
+        """
+        payload: Sequence[int] | StreamSpec = target_list
+        if isinstance(target_list, TargetStream):
+            spec = target_list.spec()
+            if spec is not None:
+                payload = spec
+        return ProcessPoolExecutor(
+            max_workers=self.max_workers
+            or min(self.shards, os.cpu_count() or 1),
+            initializer=_init_worker,
+            initargs=(world_payload(self.world), payload),
+        )
 
     def _run_shards(
         self,
@@ -813,8 +825,7 @@ class ShardedScanRunner:
         *,
         collect_telemetry: bool = False,
     ) -> list[ShardOutcome]:
-        mode = self._resolve_executor(len(target_list))
-        if mode == "serial":
+        if self._resolve_executor(len(target_list)) == "serial":
             return [
                 scan_shard(
                     self.world,
@@ -828,59 +839,26 @@ class ShardedScanRunner:
                 )
                 for shard in range(self.shards)
             ]
-        workers = self.max_workers or min(
-            self.shards, (os.cpu_count() or 1) if mode == "process" else self.shards
-        )
-        if mode == "process":
-            # Streams with a picklable recipe ship that recipe instead of
-            # their data: each worker rebuilds the stream from the world
-            # it already received, keeping the task payload O(1).
-            payload: Sequence[int] | StreamSpec = target_list
-            if isinstance(target_list, TargetStream):
-                spec = target_list.spec()
-                if spec is not None:
-                    payload = spec
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(world_payload(self.world), payload),
-            )
-            with pool:
-                futures = [
-                    pool.submit(
-                        _worker_scan_shard,
-                        config,
-                        name,
-                        epoch,
-                        shard,
-                        self.shards,
-                        collect_telemetry,
-                    )
-                    for shard in range(self.shards)
-                ]
-                try:
-                    return [future.result() for future in futures]
-                except BaseException:
-                    # A failed shard aborts the scan before the merge can
-                    # drain the others' frames; unlink them or they leak.
-                    _release_ring_futures(futures)
-                    raise
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with self._process_pool(target_list) as pool:
             futures = [
                 pool.submit(
-                    scan_shard,
-                    self.world,
+                    _worker_scan_shard,
                     config,
-                    target_list,
-                    name=name,
-                    epoch=epoch,
-                    shard=shard,
-                    shards=self.shards,
-                    collect_telemetry=collect_telemetry,
+                    name,
+                    epoch,
+                    shard,
+                    self.shards,
+                    collect_telemetry,
                 )
                 for shard in range(self.shards)
             ]
-            return [future.result() for future in futures]
+            try:
+                return [future.result() for future in futures]
+            except BaseException:
+                # A failed shard aborts the scan before the merge can
+                # drain the others' frames; unlink them or they leak.
+                _release_ring_futures(futures)
+                raise
 
     # ---------------- crash-tolerant execution ---------------- #
 
@@ -1110,9 +1088,8 @@ class ShardedScanRunner:
         telemetry); an interrupt request stops the round early, leaving
         in-flight shards for a future resume.
         """
-        mode = self._resolve_executor(len(target_list))
         failures: list[tuple[int, BaseException]] = []
-        if mode == "serial":
+        if self._resolve_executor(len(target_list)) == "serial":
             for shard in pending:
                 if self._interrupted:
                     break
@@ -1134,51 +1111,21 @@ class ShardedScanRunner:
                 else:
                     complete(outcome)
             return failures
-        workers = self.max_workers or min(
-            self.shards, (os.cpu_count() or 1) if mode == "process" else self.shards
-        )
-        futures: dict[Future, int] = {}
-        if mode == "process":
-            payload: Sequence[int] | StreamSpec = target_list
-            if isinstance(target_list, TargetStream):
-                spec = target_list.spec()
-                if spec is not None:
-                    payload = spec
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(world_payload(self.world), payload),
-            )
-            for shard in pending:
-                future = pool.submit(
-                    _worker_scan_shard,
-                    config,
-                    name,
-                    epoch,
-                    shard,
-                    self.shards,
-                    collect_telemetry,
-                    chaos,
-                    attempts[shard],
-                )
-                futures[future] = shard
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            for shard in pending:
-                future = pool.submit(
-                    scan_shard,
-                    self.world,
-                    config,
-                    target_list,
-                    name=name,
-                    epoch=epoch,
-                    shard=shard,
-                    shards=self.shards,
-                    collect_telemetry=collect_telemetry,
-                    chaos=chaos,
-                    attempt=attempts[shard],
-                )
-                futures[future] = shard
+        pool = self._process_pool(target_list)
+        futures: dict[Future, int] = {
+            pool.submit(
+                _worker_scan_shard,
+                config,
+                name,
+                epoch,
+                shard,
+                self.shards,
+                collect_telemetry,
+                chaos,
+                attempts[shard],
+            ): shard
+            for shard in pending
+        }
         consumed: set[Future] = set()
         try:
             outstanding = set(futures)

@@ -32,7 +32,6 @@ from ..netsim.engine import (
     FLAG_LOST,
     FLAG_REPLY,
     ProbeColumns,
-    ProbeResult,
     SimulationEngine,
 )
 from ..telemetry.events import make_event
@@ -64,19 +63,15 @@ class ScanConfig:
     pps: float = 50_000.0
     hop_limit: int = 64
     seed: int = 1
-    # Deprecated alias for ``backend="wire-sim"``; kept so existing
-    # configs and journals keep meaning the same scan.  Setting it maps
-    # the default backend to "wire-sim" in __post_init__.
-    wire_format: bool = False
     shard: int = 0
     shards: int = 1
     permute: bool = True
     key: bytes = b"sra-probing-key-0123456789abcdef"
-    # Probes handed to the engine per probe_batch() call.  Results are
-    # bit-identical for any value (1 forces the legacy per-probe path);
-    # larger batches amortise per-probe Python overhead until the chunk
-    # bookkeeping itself stops mattering — past ~1k there is nothing left
-    # to win.  Memory cost is one ProbeResult list per batch.
+    # Probes handed to the backend per call (the scan loop's chunk
+    # size).  Results are bit-identical for any value; larger chunks
+    # amortise per-probe Python overhead until the chunk bookkeeping
+    # itself stops mattering — past ~1k there is nothing left to win.
+    # Memory cost is one chunk of result columns (or ProbeResults).
     batch_size: int = 1024
     # Telemetry progress cadence: emit one `progress` event every N
     # probes (0 = none).  Snapshots land at fixed probe-count boundaries,
@@ -114,16 +109,6 @@ class ScanConfig:
             raise ValueError("batch_size must be >= 1")
         if self.progress_every < 0:
             raise ValueError("progress_every must be >= 0")
-        if self.wire_format:
-            if self.backend == "sim":
-                # The deprecated flag selects the backend it used to be.
-                object.__setattr__(self, "backend", "wire-sim")
-            elif self.backend != "wire-sim":
-                raise ValueError(
-                    "wire_format is a deprecated alias for "
-                    f"backend='wire-sim'; it conflicts with backend="
-                    f"{self.backend!r}"
-                )
 
     def backend_spec(self) -> BackendSpec:
         """The picklable recipe for this config's backend.
@@ -255,12 +240,7 @@ class ZMapV6Scanner:
         if collector is not None:
             backend.telemetry = collector
         try:
-            if config.batch_size == 1:
-                sent, last_position = self._scan_single(target_list, result)
-            elif backend.supports_columns:
-                sent, last_position = self._scan_batched(target_list, result)
-            else:
-                sent, last_position = self._scan_batches(target_list, result)
+            sent, last_position = self._scan_chunks(target_list, result)
         finally:
             if collector is not None:
                 backend.telemetry = None
@@ -357,153 +337,27 @@ class ZMapV6Scanner:
 
         return emit
 
-    def _scan_single(
+    def _scan_chunks(
         self, target_list: Sequence[int], result: ScanResult
     ) -> tuple[int, int]:
-        """Per-probe scan loop: column-less backends and ``batch_size=1``."""
-        config = self.config
-        backend = self.backend
-        probe = backend.probe
-        capture = self._capture
-        emit = self._emit
-        every = config.progress_every if capture is not None else 0
-        epoch_bits = backend.epoch << 32
-        hop_limit = config.hop_limit
-        sent = 0
-        last_position = -1
-        for position, index in self._probe_positions(len(target_list)):
-            target = target_list[index]
-            # Pace on the *global* permutation position, not the shard-local
-            # send counter: every shard of a multi-shard scan then shares one
-            # virtual clock, exactly as zmap's multi-machine shards share
-            # wall-clock time — and a sharded run becomes time-identical to
-            # the serial run of the same seed/epoch.
-            time = position / config.pps
-            probe_id = epoch_bits | index
-            outcome = probe(target, time, hop_limit=hop_limit, probe_id=probe_id)
-            sent += 1
-            last_position = position
-            if outcome.looped:
-                result.loops_observed += 1
-            if outcome.lost:
-                result.lost += 1
-            else:
-                for reply in outcome.replies:
-                    emit(
-                        ScanRecord(
-                            target=target,
-                            source=reply.source,
-                            icmp_type=int(reply.icmp_type),
-                            code=reply.code,
-                            count=reply.count,
-                            time=time,
-                        )
-                    )
-            if every and sent % every == 0:
-                capture.events.append(
-                    make_event(
-                        "progress",
-                        scan=result.name,
-                        epoch=result.epoch,
-                        vtime=time,
-                        shard=config.shard,
-                        sent=sent,
-                        records=result.received,
-                        lost=result.lost,
-                        loops=result.loops_observed,
-                    )
-                )
-        return sent, last_position
+        """The scan loop: probe ``batch_size`` chunks in permutation order.
 
-    def _scan_batches(
-        self, target_list: Sequence[int], result: ScanResult
-    ) -> tuple[int, int]:
-        """Chunked scan loop over ``send_batch`` for column-less backends.
-
-        The probe sequence, record order, and telemetry events are
-        byte-identical to :meth:`_scan_single` — outcomes are processed
-        probe by probe in chunk order — but sends reach the backend in
-        ``batch_size`` groups, which is what lets the raw backend pace a
-        whole batch and pay its receive linger once per batch instead of
-        once per probe.
-        """
-        config = self.config
-        backend = self.backend
-        send_batch = backend.send_batch
-        capture = self._capture
-        emit = self._emit
-        every = config.progress_every if capture is not None else 0
-        epoch_bits = backend.epoch << 32
-        hop_limit = config.hop_limit
-        pps = config.pps
-        sent = 0
-        last_position = -1
-        positions = self._probe_positions(len(target_list))
-        while True:
-            chunk = list(islice(positions, config.batch_size))
-            if not chunk:
-                break
-            batch_targets = [target_list[index] for _, index in chunk]
-            batch_times = [position / pps for position, _ in chunk]
-            batch_ids = [epoch_bits | index for _, index in chunk]
-            outcomes = send_batch(
-                batch_targets,
-                batch_times,
-                hop_limit=hop_limit,
-                probe_ids=batch_ids,
-            )
-            last_position = chunk[-1][0]
-            for offset, outcome in enumerate(outcomes):
-                sent += 1
-                if outcome.looped:
-                    result.loops_observed += 1
-                if outcome.lost:
-                    result.lost += 1
-                else:
-                    for reply in outcome.replies:
-                        emit(
-                            ScanRecord(
-                                target=batch_targets[offset],
-                                source=reply.source,
-                                icmp_type=int(reply.icmp_type),
-                                code=reply.code,
-                                count=reply.count,
-                                time=batch_times[offset],
-                            )
-                        )
-                if every and sent % every == 0:
-                    capture.events.append(
-                        make_event(
-                            "progress",
-                            scan=result.name,
-                            epoch=result.epoch,
-                            vtime=batch_times[offset],
-                            shard=config.shard,
-                            sent=sent,
-                            records=result.received,
-                            lost=result.lost,
-                            loops=result.loops_observed,
-                        )
-                    )
-        return sent, last_position
-
-    def _scan_batched(
-        self, target_list: Sequence[int], result: ScanResult
-    ) -> tuple[int, int]:
-        """Chunked scan loop over the backend's columnar kernel.
-
-        Same probe order, times, and ids as :meth:`_scan_single` — the
-        chunking is invisible in the results (the determinism regression
-        tests pin this).  Each batch reuses one :class:`ProbeColumns`
-        buffer; :class:`ScanRecord` rows are built straight from the
-        packed columns, so the per-probe dataclasses never exist here.
+        Each chunk carries its global positions, virtual times and probe
+        ids; ``batch_size`` only sets how many probes reach the backend
+        per call, never what they return (the determinism suite pins
+        results, records and telemetry byte-identical for any value).
+        Backends with the columnar kernel fill one reused
+        :class:`ProbeColumns` buffer and records are built straight from
+        the packed columns; the others answer ``send_batch`` with one
+        :class:`~repro.netsim.engine.ProbeResult` per probe, which may
+        carry several replies (the raw backend), and pay their pacing and
+        receive linger once per chunk.
         """
         config = self.config
         backend = self.backend
         pps = config.pps
         hop_limit = config.hop_limit
         epoch_bits = backend.epoch << 32
-        probe_columns = backend.probe_columns
         append_record = self._emit
         capture = self._capture
         every = config.progress_every if capture is not None else 0
@@ -514,6 +368,7 @@ class ZMapV6Scanner:
         probes_lost = 0
         flag_looped = FLAG_LOOPED
         flag_reply = FLAG_REPLY
+        columns = backend.supports_columns
         cols = ProbeColumns()
         need_ids = backend.needs_probe_ids
         positions = self._probe_positions(len(target_list))
@@ -522,84 +377,121 @@ class ZMapV6Scanner:
             if not chunk:
                 break
             batch_targets = [target_list[index] for _, index in chunk]
+            # Pace on the *global* permutation position, not the shard-
+            # local send counter: every shard of a multi-shard scan then
+            # shares one virtual clock, exactly as zmap's multi-machine
+            # shards share wall-clock time — and a sharded run becomes
+            # time-identical to the serial run of the same seed/epoch.
             batch_times = [position / pps for position, _ in chunk]
             batch_ids = (
                 [epoch_bits | index for _, index in chunk] if need_ids else None
             )
-            probe_columns(
-                batch_targets,
-                batch_times,
-                hop_limit=hop_limit,
-                probe_ids=batch_ids,
-                out=cols,
-            )
             sent += len(chunk)
             last_position = chunk[-1][0]
-            flags = cols.flags
-            source_hi = cols.source_hi
-            source_lo = cols.source_lo
-            icmp_col = cols.icmp_type
-            code_col = cols.code
-            count_col = cols.count
-            for offset in range(len(chunk)):
-                f = flags[offset]
-                if not f:  # probed, no reply — the common quiet row
-                    continue
-                if f & flag_reply:
-                    if f & flag_looped:
-                        loops_observed += 1
-                    append_record(
-                        ScanRecord(
-                            target=batch_targets[offset],
-                            source=(source_hi[offset] << 64) | source_lo[offset],
-                            icmp_type=icmp_col[offset],
-                            code=code_col[offset],
-                            count=count_col[offset],
-                            time=batch_times[offset],
+            if columns:
+                backend.probe_columns(
+                    batch_targets,
+                    batch_times,
+                    hop_limit=hop_limit,
+                    probe_ids=batch_ids,
+                    out=cols,
+                )
+                flags = cols.flags
+                source_hi = cols.source_hi
+                source_lo = cols.source_lo
+                icmp_col = cols.icmp_type
+                code_col = cols.code
+                count_col = cols.count
+                for offset in range(len(chunk)):
+                    f = flags[offset]
+                    if not f:  # probed, no reply — the common quiet row
+                        continue
+                    if f & flag_reply:
+                        if f & flag_looped:
+                            loops_observed += 1
+                        append_record(
+                            ScanRecord(
+                                target=batch_targets[offset],
+                                source=(source_hi[offset] << 64) | source_lo[offset],
+                                icmp_type=icmp_col[offset],
+                                code=code_col[offset],
+                                count=count_col[offset],
+                                time=batch_times[offset],
+                            )
                         )
-                    )
-                elif f & flag_looped:
-                    loops_observed += 1
-                else:  # FLAG_LOST
-                    probes_lost += 1
+                    elif f & flag_looped:
+                        loops_observed += 1
+                    else:  # FLAG_LOST
+                        probes_lost += 1
+                # Every reply row is exactly one record.
+                rows = (
+                    (f & FLAG_LOST, f & FLAG_LOOPED, 1 if f & FLAG_REPLY else 0)
+                    for f in flags[: cols.n]
+                )
+            else:
+                outcomes = backend.send_batch(
+                    batch_targets,
+                    batch_times,
+                    hop_limit=hop_limit,
+                    probe_ids=batch_ids,
+                )
+                for offset, outcome in enumerate(outcomes):
+                    if outcome.looped:
+                        loops_observed += 1
+                    if outcome.lost:
+                        probes_lost += 1
+                        continue
+                    for reply in outcome.replies:
+                        append_record(
+                            ScanRecord(
+                                target=batch_targets[offset],
+                                source=reply.source,
+                                icmp_type=int(reply.icmp_type),
+                                code=reply.code,
+                                count=reply.count,
+                                time=batch_times[offset],
+                            )
+                        )
+                rows = (
+                    (outcome.lost, outcome.looped, len(outcome.replies))
+                    for outcome in outcomes
+                )
             if every:
-                progress = self._capture_batch_progress(
-                    capture, result, cols, batch_times, every, progress
+                progress = self._capture_progress(
+                    capture, result, rows, batch_times, every, progress
                 )
         result.loops_observed += loops_observed
         result.lost += probes_lost
         return sent, last_position
 
-    def _capture_batch_progress(
+    def _capture_progress(
         self,
         capture: ShardTelemetry,
         result: ScanResult,
-        cols: ProbeColumns,
+        rows: Iterable[tuple[object, object, int]],
         batch_times: Sequence[float],
         every: int,
         progress: tuple[int, int, int, int],
     ) -> tuple[int, int, int, int]:
-        """Emit the ``progress`` events a batch crosses.
+        """Emit the ``progress`` events a chunk crosses.
 
-        A second pass over the batch's flag column, run only when
-        telemetry is on, so the record-building hot loop above stays
-        untouched.  It reconstructs the cumulative counters probe by
-        probe (every reply row becomes exactly one record), which makes
-        the progress stream byte-identical to the per-probe path's for
-        any ``batch_size``.
+        ``rows`` holds one ``(lost, looped, records)`` triple per probe of
+        the chunk.  This second pass runs only when telemetry is on, so
+        the record-building loops stay untouched; it advances the
+        cumulative ``(sent, records, lost, loops)`` counters probe by
+        probe, which makes the progress stream identical for every
+        ``batch_size``.
         """
         shard = self.config.shard
         sent, n_records, lost, loops = progress
-        flags = cols.flags
-        for offset in range(cols.n):
-            f = flags[offset]
+        for offset, (was_lost, looped, records) in enumerate(rows):
             sent += 1
-            if f & FLAG_LOOPED:
+            if looped:
                 loops += 1
-            if f & FLAG_LOST:
+            if was_lost:
                 lost += 1
-            elif f & FLAG_REPLY:
-                n_records += 1
+            else:
+                n_records += records
             if sent % every == 0:
                 capture.events.append(
                     make_event(
@@ -634,10 +526,4 @@ class ZMapV6Scanner:
             epoch=self.backend.epoch,
             window=IndexWindow(config.shard, config.shards),
             permute=config.permute,
-        )
-
-    def _send_probe(self, target: int, time: float, probe_id: int) -> ProbeResult:
-        """Back-compat shim for callers that drove one probe at a time."""
-        return self.backend.probe(
-            target, time, hop_limit=self.config.hop_limit, probe_id=probe_id
         )

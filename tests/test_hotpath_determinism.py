@@ -2,10 +2,11 @@
 
 The batched probe engine, the LPM/trie result caches, and the memoised
 stable-randomness hashers are all pure throughput work: results must be
-bit-identical to the original per-probe path.  These tests pin that
-contract on the paper's two headline workloads — the Table 2 survey and
-the Fig. 5 SRA-vs-random campaign — through the single-probe path, the
-batched path, and 1/4/8-way sharded execution.
+bit-identical to the scalar reference model (``spec_forwarding.py``) and
+invariant under chunking.  These tests pin that contract on the paper's
+two headline workloads — the Table 2 survey and the Fig. 5 SRA-vs-random
+campaign — at batch size 1 and larger, and under 1/4/8-way sharded
+execution.
 """
 
 import random
@@ -27,6 +28,7 @@ from repro.scanner.stream import (
 from repro.scanner.targets import bgp_slash48_targets
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry import ScanTelemetry
+from spec_forwarding import spec_probes
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,8 @@ def scan_snapshot(result):
 
 
 class TestBatchPathEquivalence:
-    """probe_batch vs probe: identical ScanResults for any batch size."""
+    """Chunking is invisible: identical ScanResults for any batch size,
+    and the kernel matches the scalar spec row for row."""
 
     def _scan(self, world, targets, *, batch_size, epoch=0):
         engine = SimulationEngine(world, epoch=epoch)
@@ -83,34 +86,30 @@ class TestBatchPathEquivalence:
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = [i for i in range(len(targets))]
-        serial_engine = SimulationEngine(tiny_world, epoch=2)
-        serial = [
-            serial_engine.probe(target, time, probe_id=probe_id)
-            for target, time, probe_id in zip(targets, times, ids)
-        ]
+        serial, serial_stats = spec_probes(
+            tiny_world, targets, times, probe_ids=ids, epoch=2
+        )
         batch_engine = SimulationEngine(tiny_world, epoch=2)
         batched = batch_engine.probe_batch(targets, times, probe_ids=ids)
         assert batched == serial
-        assert batch_engine.stats == serial_engine.stats
+        assert batch_engine.stats == serial_stats
 
     def test_probe_columns_match_serial_probe(self, tiny_world, stress_targets):
         """Column-level contract: the packed verdict/source/TTL columns
-        hold, row for row, exactly what the per-probe dataclass path
-        produces — the columnar kernel vs dataclass bit-identity pin."""
+        hold, row for row, exactly what the scalar reference model
+        produces — the columnar kernel vs spec bit-identity pin."""
         from repro.netsim.engine import FLAG_LOOPED, FLAG_LOST, FLAG_REPLY
 
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets)))
-        serial_engine = SimulationEngine(tiny_world, epoch=2)
-        serial = [
-            serial_engine.probe(target, time, probe_id=probe_id)
-            for target, time, probe_id in zip(targets, times, ids)
-        ]
+        serial, serial_stats = spec_probes(
+            tiny_world, targets, times, probe_ids=ids, epoch=2
+        )
         col_engine = SimulationEngine(tiny_world, epoch=2)
         cols = col_engine.probe_columns(targets, times, probe_ids=ids)
         assert cols.n == len(serial)
-        assert col_engine.stats == serial_engine.stats
+        assert col_engine.stats == serial_stats
         for i, expected in enumerate(serial):
             flags = cols.flags[i]
             assert bool(flags & FLAG_LOST) == expected.lost, i
@@ -153,7 +152,7 @@ class TestFig5Determinism:
     def test_sharded_matches_serial(self, tiny_world, sra_targets, shards):
         serial = self._series_snapshots(tiny_world, sra_targets)
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="thread"
+            tiny_world, shards=shards, executor="serial"
         )
         sharded = self._series_snapshots(tiny_world, sra_targets, runner=runner)
         assert sharded == serial
@@ -212,7 +211,7 @@ class TestTable2Determinism:
             tiny_hitlist,
             tiny_alias_list,
             shards=shards,
-            parallel="thread",
+            parallel="serial",
         )
         assert set(sharded.input_sets) == set(INPUT_SET_NAMES)
         for name, expected in baseline.input_sets.items():
@@ -266,7 +265,7 @@ class TestTelemetryDeterminism:
         scanner.scan(targets, name="scan", epoch=self.EPOCH)
         return telemetry
 
-    def _sharded(self, world, targets, *, shards, executor="thread"):
+    def _sharded(self, world, targets, *, shards, executor="serial"):
         telemetry = ScanTelemetry()
         runner = ShardedScanRunner(
             world, shards=shards, executor=executor, telemetry=telemetry
@@ -442,7 +441,7 @@ class TestStreamVsListEquivalence:
         serial = self._scan(tiny_world, list(stress_targets))
         sink = MemorySink()
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="thread"
+            tiny_world, shards=shards, executor="serial"
         )
         result = runner.scan(
             self._stream(stress_targets),
@@ -474,7 +473,7 @@ class TestStreamVsListEquivalence:
         def run(targets):
             telemetry = ScanTelemetry()
             runner = ShardedScanRunner(
-                tiny_world, shards=shards, executor="thread",
+                tiny_world, shards=shards, executor="serial",
                 telemetry=telemetry,
             )
             runner.scan(
@@ -521,7 +520,7 @@ class TestStreamVsListEquivalence:
         self._scan(tiny_world, stress_targets, telemetry=serial, sink=MemorySink())
         sharded = ScanTelemetry()
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="thread", telemetry=sharded
+            tiny_world, shards=shards, executor="serial", telemetry=sharded
         )
         runner.scan(
             stress_targets,
@@ -552,7 +551,7 @@ class TestCrashResumeDeterminism:
 
     def _runner(self, world, shards):
         return ShardedScanRunner(
-            world, shards=shards, executor="thread", retry_backoff=0.0
+            world, shards=shards, executor="serial", retry_backoff=0.0
         )
 
     def _scan(self, world, targets, *, shards, checkpoint, sink_path=None,
@@ -642,7 +641,7 @@ class TestCrashResumeDeterminism:
         uninterrupted run equals the no-journal fast path."""
         plain = ScanTelemetry()
         plain_result = ShardedScanRunner(
-            tiny_world, shards=4, executor="thread"
+            tiny_world, shards=4, executor="serial"
         ).scan(
             stress_targets,
             ScanConfig(**self.CFG),
@@ -698,14 +697,14 @@ class TestCrashResumeDeterminism:
             return ShardedScanRunner(
                 world,
                 shards=4,
-                executor="thread",
+                executor="serial",
                 retry_backoff=0.0,
                 checkpoint_dir=checkpoint_dir,
                 chaos=chaos,
             )
 
         baseline = survey(
-            ShardedScanRunner(world, shards=4, executor="thread")
+            ShardedScanRunner(world, shards=4, executor="serial")
         )
         chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
         with pytest.raises(ScanInterrupted):
@@ -749,14 +748,14 @@ class TestCrashResumeDeterminism:
             return ShardedScanRunner(
                 tiny_world,
                 shards=shards,
-                executor="thread",
+                executor="serial",
                 retry_backoff=0.0,
                 checkpoint_dir=checkpoint_dir,
                 chaos=chaos,
             )
 
         baseline = campaign(
-            ShardedScanRunner(tiny_world, shards=shards, executor="thread")
+            ShardedScanRunner(tiny_world, shards=shards, executor="serial")
         )
         chaos = ChaosEngine(
             plan=FaultPlan(interrupt_after_shards=max(1, shards // 2))

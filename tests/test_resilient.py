@@ -458,7 +458,7 @@ def test_shard_retry_backoff_uses_injected_sleep(tiny_world):
     runner = ShardedScanRunner(
         tiny_world,
         shards=2,
-        executor="thread",
+        executor="serial",
         max_shard_retries=2,
         sleep=delays.append,
         chaos=chaos,

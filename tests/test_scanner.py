@@ -245,7 +245,7 @@ class TestZMapScanner:
         ).scan(targets, name="fast", epoch=3)
         wire = ZMapV6Scanner(
             SimulationEngine(tiny_world, epoch=3),
-            ScanConfig(pps=1000, seed=5, wire_format=True),
+            ScanConfig(pps=1000, seed=5, backend="wire-sim"),
         ).scan(targets, name="wire", epoch=3)
         fast_rows = sorted((r.target, r.source, r.icmp_type) for r in fast.records)
         wire_rows = sorted((r.target, r.source, r.icmp_type) for r in wire.records)

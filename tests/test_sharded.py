@@ -1,5 +1,6 @@
 """Sharded parallel scan execution: partitioning, merge, determinism."""
 
+import os
 import random
 
 import pytest
@@ -250,7 +251,7 @@ class TestMergeEngineStats:
 class TestDeterminism:
     """A sharded run is bit-for-bit identical to the serial run."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     @pytest.mark.parametrize("shards", [2, 3, 5])
     def test_identical_to_serial(self, tiny_world, stress_targets, shards, executor):
         serial = serial_scan(tiny_world, stress_targets, epoch=2)
@@ -274,7 +275,7 @@ class TestDeterminism:
     def test_identical_across_epochs(self, tiny_world, stress_targets):
         for epoch in (0, 1, 4):
             serial = serial_scan(tiny_world, stress_targets, epoch=epoch)
-            runner = ShardedScanRunner(tiny_world, shards=3, executor="thread")
+            runner = ShardedScanRunner(tiny_world, shards=3, executor="serial")
             merged = runner.scan(
                 stress_targets,
                 ScanConfig(pps=200_000.0, seed=5),
@@ -381,6 +382,20 @@ class TestShardPrimitives:
     def test_invalid_executor_rejected(self, tiny_world):
         with pytest.raises(ValueError, match="executor"):
             ShardedScanRunner(tiny_world, shards=2, executor="rocket")
+
+    def test_thread_executor_rejected(self, tiny_world):
+        """Shards run serially or on a process pool; there is no thread
+        executor (threads were slower than serial under the GIL)."""
+        with pytest.raises(ValueError, match="auto/process/serial"):
+            ShardedScanRunner(tiny_world, shards=2, executor="thread")
+
+    def test_auto_executor_is_serial_below_threshold(self, tiny_world):
+        runner = ShardedScanRunner(tiny_world, shards=2, process_threshold=100)
+        assert runner._resolve_executor(99) == "serial"
+        multi_core = (os.cpu_count() or 1) > 1
+        assert runner._resolve_executor(100) == (
+            "process" if multi_core else "serial"
+        )
 
     def test_invalid_shards_rejected(self, tiny_world):
         with pytest.raises(ValueError, match="shards"):
@@ -593,10 +608,10 @@ class TestShmRingTransport:
         )
         assert stats.bytes > 0
 
-    def test_thread_executor_never_packs(self, tiny_world, stress_targets):
+    def test_serial_executor_never_packs(self, tiny_world, stress_targets):
         """Same-process shards have nothing to transport: the ring stays
         untouched and results are unchanged."""
-        runner = ShardedScanRunner(tiny_world, shards=3, executor="thread")
+        runner = ShardedScanRunner(tiny_world, shards=3, executor="serial")
         runner.scan(
             stress_targets,
             ScanConfig(pps=200_000.0, seed=5),
@@ -620,7 +635,7 @@ class TestSurveyParallel:
                 max_route6=2_000,
                 max_hitlist=2_000,
                 shards=shards,
-                parallel="thread",
+                parallel="serial",
             )
             return SRASurvey(
                 tiny_world, hitlist, alias_list=alias_list, config=config
@@ -671,10 +686,18 @@ class TestRunnerCLI:
                 "--shards",
                 "2",
                 "--parallel",
-                "thread",
+                "serial",
                 "--summary",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards     : 2 (thread)" in out
+        assert "shards     : 2 (serial)" in out
+
+    def test_sra_scan_cli_rejects_thread_executor(self, capsys):
+        from repro.scanner import cli
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--world", "tiny", "--parallel", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
